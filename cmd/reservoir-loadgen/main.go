@@ -280,6 +280,14 @@ func runConfig(client *http.Client, base string, cfg config, nClients, batch int
 	// count — errors must not inflate the baseline.
 	okByRun := make([]int64, cfg.runs)
 
+	// Items are counted from each run's items_processed: arrival
+	// processes and rate skew make real batches differ from the
+	// requested batch length.
+	itemsBefore := make([]int64, cfg.runs)
+	for i, id := range runIDs {
+		itemsBefore[i] = mustStats(client, base, id).ItemsProcessed
+	}
+
 	var msBefore runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
@@ -344,7 +352,10 @@ func runConfig(client *http.Client, base string, cfg config, nClients, batch int
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 
-	totalItems := float64(totalRounds) * float64(cfg.p*batch)
+	var totalItems float64
+	for i, id := range runIDs {
+		totalItems += float64(mustStats(client, base, id).ItemsProcessed - itemsBefore[i])
+	}
 	perRound := func(v float64) float64 {
 		if totalRounds == 0 {
 			return 0 // avoid NaN (unmarshalable) when every round failed
@@ -353,6 +364,7 @@ func runConfig(client *http.Client, base string, cfg config, nClients, batch int
 	}
 	m := map[string]float64{
 		"throughput_items_per_s": totalItems / elapsed.Seconds(),
+		"items":                  totalItems,
 		"rounds_per_s":           float64(totalRounds) / elapsed.Seconds(),
 		"wall_s":                 elapsed.Seconds(),
 		"requests":               float64(len(durs)),
@@ -396,18 +408,39 @@ func createRun(client *http.Client, base string, cfg config, i int) string {
 func waitDrained(client *http.Client, base, id string, rounds int) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := client.Get(base + "/v1/runs/" + id + "/stats")
-		if err == nil {
-			var st service.Stats
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			drainClose(resp)
-			if err == nil && st.Rounds >= rounds && st.PendingRounds == 0 {
-				return
-			}
+		st, err := runStats(client, base, id)
+		if err == nil && st.Rounds >= rounds && st.PendingRounds == 0 {
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	fmt.Fprintf(os.Stderr, "warning: run %s did not drain %d rounds in 30s\n", id, rounds)
+}
+
+// runStats fetches one run's stats.
+func runStats(client *http.Client, base, id string) (service.Stats, error) {
+	var st service.Stats
+	resp, err := client.Get(base + "/v1/runs/" + id + "/stats")
+	if err != nil {
+		return st, err
+	}
+	defer drainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("run %s stats: %s", id, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return st, fmt.Errorf("run %s stats: %w", id, err)
+	}
+	return st, nil
+}
+
+// mustStats is runStats for the counts a report cannot do without.
+func mustStats(client *http.Client, base, id string) service.Stats {
+	st, err := runStats(client, base, id)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return st
 }
 
 // explicitBody builds one explicit-batch ingest request: p batches of n

@@ -31,6 +31,9 @@ type Report struct {
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
 	CPUs   int    `json:"cpus"`
+	// GOMAXPROCS is the scheduler's parallelism when the report was
+	// made; it can sit below CPUs (a -cpu flag or a container limit).
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Params are invocation-level parameters (scale, seeds, flags).
 	Params map[string]any `json:"params,omitempty"`
 	// Results hold one entry per measured configuration.
@@ -58,13 +61,14 @@ type Result struct {
 // empty for reproducible output).
 func NewReport(tool, name string) *Report {
 	return &Report{
-		Schema: SchemaVersion,
-		Tool:   tool,
-		Name:   name,
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
+		Schema:     SchemaVersion,
+		Tool:       tool,
+		Name:       name,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 }
 

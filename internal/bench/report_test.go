@@ -12,7 +12,7 @@ func TestReportRoundTrip(t *testing.T) {
 	rep.Add("clients=2,batch=100",
 		map[string]any{"clients": 2, "batch": 100},
 		map[string]float64{"throughput_items_per_s": 1e6, "latency_p99_ms": 3.5})
-	if rep.Schema != SchemaVersion || rep.CPUs < 1 || rep.Go == "" {
+	if rep.Schema != SchemaVersion || rep.CPUs < 1 || rep.GOMAXPROCS < 1 || rep.Go == "" {
 		t.Fatalf("environment not stamped: %+v", rep)
 	}
 

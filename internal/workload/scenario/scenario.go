@@ -12,6 +12,16 @@
 // determinism analyzer. Batches are workload.SynthBatch values, generated
 // in O(1) memory regardless of length.
 //
+// Synthesis is on the benchmarks' hot path, so it is built for speed
+// without changing the stream. A Zipf law compiles once per
+// (ZipfN, Alpha) into an immutable table, shared through a small bounded
+// cache: the normalized CDF plus a guide index that finds a uniform's
+// inverse-CDF rank in O(1) expected steps — the same rank a binary
+// search returns. Every batch carries a WBulk filler, one flat loop per
+// law, which the per-item W reuses over a single item. An alias table
+// would draw as fast but map uniforms to different ranks, breaking the
+// replay of recorded streams; see DESIGN.md §7.
+//
 // The statistical acceptance harness (internal/stats/accept) runs the
 // samplers over these scenarios and tests the realized inclusion counts
 // against theory; see DESIGN.md §7.
@@ -20,7 +30,7 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 
 	"reservoir/internal/rng"
 	"reservoir/internal/workload"
@@ -220,7 +230,7 @@ func (s Spec) Source(seed uint64, meanLen int) (*Source, error) {
 	}
 	src := &Source{spec: s.withDefaults(), seed: seed, meanLen: meanLen}
 	if src.spec.Law == "zipf" {
-		src.zipfCum = zipfCumulative(src.spec.ZipfN, src.spec.Alpha)
+		src.zipf = zipfTables.get(src.spec.ZipfN, src.spec.Alpha)
 	}
 	return src, nil
 }
@@ -231,7 +241,7 @@ type Source struct {
 	spec    Spec
 	seed    uint64
 	meanLen int
-	zipfCum []float64 // normalized Zipf CDF (nil unless law == "zipf")
+	zipf    *zipfTable // shared with every source of the same law (nil unless law == "zipf")
 }
 
 // Spec returns the compiled spec with defaults applied.
@@ -262,11 +272,17 @@ func idBase(pe, round int) uint64 {
 // NextBatch implements workload.Source. The batch is a SynthBatch: items
 // are recomputed on demand from the counter streams, never stored.
 func (s *Source) NextBatch(pe, round int) workload.Batch {
-	w := s.weightFn(pe, round)
+	g := &weights{
+		src:   s,
+		law:   rng.Counter{Seed: s.subSeed(domainWeight, pe, round)}.Stream(),
+		hot:   rng.Counter{Seed: s.subSeed(domainHot, pe, round)}.Stream(),
+		scale: s.driftScale(round),
+	}
 	return &workload.SynthBatch{
 		N:      s.BatchLen(pe, round),
 		IDBase: idBase(pe, round),
-		W:      w,
+		W:      g.at,
+		WBulk:  g.fill,
 	}
 }
 
@@ -333,62 +349,83 @@ func (s *Source) driftScale(round int) float64 {
 	}
 }
 
-// weightFn builds the stateless per-item weight function of (pe, round):
-// law draw × hot-key boost × drift scale, each from its own counter
-// substream so item i's weight is a pure function of (seed, pe, round, i).
-func (s *Source) weightFn(pe, round int) func(i uint64) float64 {
-	law := s.lawFn(pe, round)
-	scale := s.driftScale(round)
-	if s.spec.HotFrac <= 0 {
-		return func(i uint64) float64 { return law(i) * scale }
-	}
-	hot := rng.Counter{Seed: s.subSeed(domainHot, pe, round)}
-	frac, boost := s.spec.HotFrac, s.spec.HotBoost
-	return func(i uint64) float64 {
-		w := law(i) * scale
-		if hot.U01At(i) <= frac {
-			w *= boost
-		}
-		return w
-	}
+// weights synthesizes the weights of one (pe, round): the law draw from
+// the weight substream, times the drift scale, times HotBoost where the
+// hot-key substream draw is at most HotFrac. Item i's weight is a pure
+// function of (seed, pe, round, i).
+type weights struct {
+	src      *Source
+	law, hot rng.CounterStream
+	scale    float64
 }
 
-// lawFn is the raw weight-law draw for one (pe, round) stream.
-func (s *Source) lawFn(pe, round int) func(i uint64) float64 {
-	c := rng.Counter{Seed: s.subSeed(domainWeight, pe, round)}
-	switch s.spec.Law {
+// fill sets dst[j] to the weight of item base+j. It is the only place the
+// per-law math lives: at fills a one-item slice, so W and WBulk agree bit
+// for bit by construction. One flat loop per law keeps the law switch,
+// the closure calls and the counter seed mix out of the per-item path.
+func (g *weights) fill(base uint64, dst []float64) {
+	sp, c, scale := &g.src.spec, g.law, g.scale
+	switch sp.Law {
 	case "uniform":
-		lo, hi := s.spec.Lo, s.spec.Hi
-		return func(i uint64) float64 { return lo + c.U01At(i)*(hi-lo) }
+		lo, span := sp.Lo, sp.Hi-sp.Lo
+		for j := range dst {
+			dst[j] = (lo + c.U01At(base+uint64(j))*span) * scale
+		}
 	case "zipf":
-		cum := s.zipfCum
-		return func(i uint64) float64 {
-			// Inverse-CDF draw: the rank r with cum[r-1] >= u.
-			u := c.U01At(i)
-			r := sort.SearchFloat64s(cum, u)
-			return float64(r + 1)
+		t := g.src.zipf
+		for j := range dst {
+			dst[j] = float64(t.rank(c.U01At(base+uint64(j)))+1) * scale
 		}
 	case "pareto":
-		inv := -1 / s.spec.Alpha
-		return func(i uint64) float64 { return math.Pow(c.U01At(i), inv) }
+		inv := -1 / sp.Alpha
+		for j := range dst {
+			dst[j] = math.Pow(c.U01At(base+uint64(j)), inv) * scale
+		}
 	case "lognormal":
-		mu, sigma := s.spec.Mu, s.spec.Sigma
-		return func(i uint64) float64 {
+		mu, sigma := sp.Mu, sp.Sigma
+		for j := range dst {
 			// Box-Muller from two counter draws, as workload.NormalWeight.
-			u1 := c.U01At(2 * i)
-			u2 := c.U01At(2*i + 1)
-			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-			return math.Exp(mu + sigma*z)
+			i := base + uint64(j)
+			z := math.Sqrt(-2*math.Log(c.U01At(2*i))) * math.Cos(2*math.Pi*c.U01At(2*i+1))
+			dst[j] = math.Exp(mu+sigma*z) * scale
 		}
 	default:
 		// Unreachable: Source() validated the law.
-		panic("scenario: uncompiled weight law " + s.spec.Law)
+		panic("scenario: uncompiled weight law " + sp.Law)
+	}
+	if frac := sp.HotFrac; frac > 0 {
+		hot, boost := g.hot, sp.HotBoost
+		for j := range dst {
+			if hot.U01At(base+uint64(j)) <= frac {
+				dst[j] *= boost
+			}
+		}
 	}
 }
 
-// zipfCumulative precomputes the normalized CDF of P[R=r] ∝ r^-alpha over
-// r ∈ {1..n}. One table per compiled source, shared by every batch.
-func zipfCumulative(n int, alpha float64) []float64 {
+// at returns the weight of item i.
+func (g *weights) at(i uint64) float64 {
+	var w [1]float64
+	g.fill(i, w[:])
+	return w[0]
+}
+
+// zipfTable is a compiled Zipf law P[R=r] ∝ r^-alpha over r ∈ {1..n}: the
+// normalized CDF, cum[r-1] = P[R <= r], and a guide index over it.
+// guide[b] is the smallest r with cum[r] >= b/G, where G = len(guide)-1
+// is the power of two at or above n. A uniform u in [b/G, (b+1)/G) thus
+// has its inverse-CDF rank at or after guide[b], and rank walks up from
+// there: 1 + n/G <= 2 expected comparisons instead of a log2(n)-step
+// binary search, returning exactly the rank the binary search returns.
+// Tables are immutable and shared (see tableCache).
+type zipfTable struct {
+	alpha   float64
+	cum     []float64
+	guide   []int32
+	buckets float64 // G
+}
+
+func newZipfTable(n int, alpha float64) *zipfTable {
 	cum := make([]float64, n)
 	sum := 0.0
 	for r := 1; r <= n; r++ {
@@ -401,5 +438,84 @@ func zipfCumulative(n int, alpha float64) []float64 {
 	// Guard against floating-point shortfall at the top: U01At can return
 	// exactly 1, which must map to the last rank.
 	cum[n-1] = 1
-	return cum
+	g := 1
+	for g < n {
+		g <<= 1
+	}
+	guide := make([]int32, g+1)
+	r := 0
+	for b := range guide {
+		// b/g is exact (g is a power of two), and cum[n-1] = 1 stops the
+		// walk at b = g.
+		for edge := float64(b) / float64(g); cum[r] < edge; {
+			r++
+		}
+		guide[b] = int32(r)
+	}
+	return &zipfTable{alpha: alpha, cum: cum, guide: guide, buckets: float64(g)}
+}
+
+// rank returns the smallest r with cum[r] >= u, for u in (0, 1]: the
+// index sort.SearchFloat64s(cum, u) returns. u·G is exact, so its
+// truncation is the bucket b with b/G <= u.
+func (t *zipfTable) rank(u float64) int {
+	r := int(t.guide[int(u*t.buckets)])
+	for t.cum[r] < u {
+		r++
+	}
+	return r
+}
+
+// tableCacheSize bounds the Zipf tables kept between compilations. A
+// node-mode round compiles the same spec 1 + p times and a service run
+// once per request, so a few entries catch every repeat, while a table
+// for ZipfN = 2^22 holds 48 MiB and specs come from clients.
+const tableCacheSize = 4
+
+// tableCache keeps the most recently compiled Zipf tables, so sources
+// with the same (ZipfN, Alpha) share one table instead of each paying
+// ZipfN math.Pow calls.
+type tableCache struct {
+	mu   sync.Mutex
+	tabs []*zipfTable // most recently used first, at most tableCacheSize
+}
+
+// zipfTables is the cache Spec.Source compiles through.
+var zipfTables tableCache
+
+// get returns the table of (n, alpha), compiling it on a miss.
+func (c *tableCache) get(n int, alpha float64) *zipfTable {
+	c.mu.Lock()
+	t := c.lookup(n, alpha)
+	c.mu.Unlock()
+	if t != nil {
+		return t
+	}
+	// Compile outside the lock: a 2^22-rank table takes about half a
+	// second, and other specs must not wait behind it.
+	t = newZipfTable(n, alpha)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if won := c.lookup(n, alpha); won != nil {
+		return won // a concurrent miss compiled the same table first
+	}
+	if len(c.tabs) < tableCacheSize {
+		c.tabs = append(c.tabs, nil)
+	}
+	copy(c.tabs[1:], c.tabs) // the least recently used table falls off
+	c.tabs[0] = t
+	return t
+}
+
+// lookup returns the cached table of (n, alpha), moved to the front, or
+// nil. The caller holds c.mu.
+func (c *tableCache) lookup(n int, alpha float64) *zipfTable {
+	for i, t := range c.tabs {
+		if len(t.cum) == n && t.alpha == alpha {
+			copy(c.tabs[1:i+1], c.tabs[:i])
+			c.tabs[0] = t
+			return t
+		}
+	}
+	return nil
 }

@@ -38,7 +38,8 @@ type Node struct {
 // skip scan (StartScan); CollNS is the collective side (the deferred
 // selection drain plus the merge/selection of CommitScan); OverlapNS is
 // the wall time the pipelined driver saved by running the two
-// concurrently (min of the overlapped pair per round); RoundNS is total
+// concurrently (the measured intersection of the scan's and the drain's
+// wall-clock intervals per round); RoundNS is total
 // round wall time. Only the sharded distributed sampler fills these in.
 // FlushNS is the transport's accumulated coalesce-flush time (staged
 // frame emission plus socket drain), reported by transports that track
@@ -123,25 +124,21 @@ func (n *Node) processSharded(pe *core.DistPE, b Batch) {
 	r0 := time.Now()
 	var buf *core.ScanBuf
 	if pe.Pending() {
-		var scanDur time.Duration
+		var s0, s1 time.Time
 		done := make(chan struct{})
 		go func() {
-			s0 := time.Now()
+			s0 = time.Now()
 			buf = pe.StartScan(b)
-			scanDur = time.Since(s0)
+			s1 = time.Now()
 			close(done)
 		}()
 		f0 := time.Now()
 		pe.FinishPending()
-		finishDur := time.Since(f0)
+		f1 := time.Now()
 		<-done
-		n.phase.ScanNS += scanDur.Nanoseconds()
-		n.phase.CollNS += finishDur.Nanoseconds()
-		saved := scanDur
-		if finishDur < saved {
-			saved = finishDur
-		}
-		n.phase.OverlapNS += saved.Nanoseconds()
+		n.phase.ScanNS += s1.Sub(s0).Nanoseconds()
+		n.phase.CollNS += f1.Sub(f0).Nanoseconds()
+		n.phase.OverlapNS += overlap(s0, s1, f0, f1).Nanoseconds()
 	} else {
 		s0 := time.Now()
 		buf = pe.StartScan(b)
@@ -151,6 +148,21 @@ func (n *Node) processSharded(pe *core.DistPE, b Batch) {
 	pe.CommitScan(b, buf)
 	n.phase.CollNS += time.Since(c0).Nanoseconds()
 	n.phase.RoundNS += time.Since(r0).Nanoseconds()
+}
+
+// overlap returns how long the wall-clock intervals [a0, a1] and [b0, b1]
+// intersect: zero when one ended before the other started.
+func overlap(a0, a1, b0, b1 time.Time) time.Duration {
+	if b0.After(a0) {
+		a0 = b0
+	}
+	if b1.Before(a1) {
+		a1 = b1
+	}
+	if d := a1.Sub(a0); d > 0 {
+		return d
+	}
+	return 0
 }
 
 // DrainPending completes a pipelined round's deferred selection

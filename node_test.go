@@ -11,6 +11,7 @@ package reservoir
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"reservoir/internal/simnet"
 )
@@ -122,5 +123,31 @@ func TestNodePipelineRaceStress(t *testing.T) {
 	}
 	if overlap <= 0 {
 		t.Error("no overlapped wall time recorded across 40 pipelined rounds")
+	}
+}
+
+// TestOverlapIsIntervalIntersection pins the pipelined round's overlap
+// measure: the time both intervals were running, not the shorter one's
+// length.
+func TestOverlapIsIntervalIntersection(t *testing.T) {
+	t0 := time.Now()
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	for _, tc := range []struct {
+		a0, a1, b0, b1 int
+		want           int
+	}{
+		{0, 10, 5, 20, 5},  // partial: b starts inside a
+		{5, 20, 0, 10, 5},  // partial: a starts inside b
+		{0, 20, 5, 10, 5},  // b nested in a
+		{5, 10, 0, 20, 5},  // a nested in b
+		{0, 10, 10, 20, 0}, // touching
+		{0, 10, 15, 20, 0}, // disjoint: a first
+		{15, 20, 0, 10, 0}, // disjoint: b first
+		{0, 10, 0, 10, 10}, // identical
+		{3, 3, 0, 10, 0},   // empty interval
+	} {
+		if got := overlap(at(tc.a0), at(tc.a1), at(tc.b0), at(tc.b1)); got != time.Duration(tc.want)*time.Millisecond {
+			t.Errorf("overlap([%d,%d], [%d,%d]) = %v, want %dms", tc.a0, tc.a1, tc.b0, tc.b1, got, tc.want)
+		}
 	}
 }
