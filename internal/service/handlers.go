@@ -105,30 +105,6 @@ func writeError(w http.ResponseWriter, err error) {
 	WriteErrorf(w, http.StatusInternalServerError, "%v", err)
 }
 
-// decodeBody strictly decodes exactly one JSON value of at most limit
-// bytes: unknown fields, over-limit bodies, and trailing data are rejected.
-// DecodeBody strictly decodes a JSON request body: size-limited, unknown
-// fields rejected, exactly one value (shared with the node-mode control
-// API in internal/nodesvc). Errors carry an HTTP status via APIErrorCode.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &apiError{
-				code: http.StatusRequestEntityTooLarge,
-				msg:  fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-			}
-		}
-		return badRequestf("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return badRequestf("invalid request body: trailing data after the JSON value")
-	}
-	return nil
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthResponse{Status: "ok", Runs: s.runCount()}
 	if s.store != nil {

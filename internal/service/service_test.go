@@ -121,6 +121,8 @@ func TestCreateRunDefaultsAndValidation(t *testing.T) {
 		`{"k":4,"strategy":"sideways"}`,         // unknown strategy
 		`{"k":4,"frobnicate":1}`,                // unknown field
 		`{"k":4}{"k":8}`,                        // trailing data
+		`{"k":4}}`,                              // trailing close brace
+		`{"k":4}]`,                              // trailing close bracket
 		`{"kind":"cluster","k":4,"window":8}`,   // window on cluster
 		`{"kind":"sequential","k":4,"p":3}`,     // multi-stream sequential
 		`{"kind":"sequential","k":4,"k_max":8}`, // variable size, not cluster
@@ -218,6 +220,7 @@ func TestIngestValidation(t *testing.T) {
 		`{"synthetic":{"batch_len":10,"lo":-5,"hi":5}}`,             // negative weights on a weighted run
 		`{"synthetic":{"batch_len":10,"lo":200,"hi":100}}`,          // hi <= lo
 		`{"batches":[[{"w":1,"id":1,"extra":2}],[{"w":1,"id":2}]]}`, // unknown field
+		`{"batches":[[{"w":1,"id":1}],[{"w":1,"id":2}]]}}`,          // trailing close brace
 	}
 	for _, body := range bad {
 		if code, raw := doJSON(t, "POST", base, body, nil); code != http.StatusBadRequest {
